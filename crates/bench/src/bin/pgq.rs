@@ -234,8 +234,8 @@ fn parse_args() -> Args {
                 args.max_concurrent =
                     argv.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage())
             }
-            // Force the row-at-a-time reference pipeline (the vectorized
-            // columnar pipeline is the default).
+            // Run every operator row-at-a-time (the vectorized columnar
+            // operators are the default).
             "--no-vectorize" => args.no_vectorize = true,
             // Fall back to the heuristic greedy join planner (the
             // statistics-driven cost-based optimizer is the default).

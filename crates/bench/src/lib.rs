@@ -2,8 +2,7 @@
 //!
 //! Shared fixtures, query routing, and paper reference values for the
 //! benchmark harness. The `repro` binary regenerates every table and
-//! figure of the paper's evaluation; the Criterion benches measure the
-//! same queries under `cargo bench`.
+//! figure of the paper's evaluation.
 
 #![warn(missing_docs)]
 
@@ -250,8 +249,10 @@ pub fn pick_benchmark_tag(graph: &PropertyGraph) -> String {
     } else {
         candidates
     };
+    // Ties on distance break by tag string: the pool comes out of a
+    // `HashMap`, whose iteration order changes from process to process.
     pool.into_iter()
-        .min_by_key(|(_, c)| c.abs_diff(target))
+        .min_by_key(|&(t, c)| (c.abs_diff(target), t))
         .map(|(t, _)| t.to_string())
         .unwrap_or_else(|| "#tag0".to_string())
 }
@@ -271,6 +272,20 @@ mod tests {
         assert_eq!(Eq::Eq5.label(PgRdfModel::SP), "EQ5b");
         assert_eq!(Eq::Eq11(1).label(PgRdfModel::NG), "EQ11a");
         assert_eq!(Eq::Eq11(5).label(PgRdfModel::NG), "EQ11e");
+    }
+
+    #[test]
+    fn benchmark_tag_ties_break_by_tag_string() {
+        // Two tags on three vertices each: equally far from the target,
+        // so only the tie-break decides, and it must not follow the
+        // per-call `HashMap` order.
+        let mut graph = PropertyGraph::new();
+        for (id, tag) in [(1, "#b"), (2, "#a"), (3, "#b"), (4, "#a"), (5, "#b"), (6, "#a")] {
+            graph.add_vertex_with_props(id, [("hasTag", tag)]);
+        }
+        for _ in 0..20 {
+            assert_eq!(pick_benchmark_tag(&graph), "#a");
+        }
     }
 
     #[test]

@@ -122,13 +122,6 @@ impl DatasetView {
         self.members.iter().flat_map(move |m| m.scan(pattern))
     }
 
-    /// Alias of [`Self::scan`], kept for the executor's per-probe call
-    /// sites — a nested-loop join issues one probe per input row, so the
-    /// per-call constant matters far more than for full scans.
-    pub fn probe(&self, pattern: QuadPattern) -> impl Iterator<Item = EncodedQuad> + '_ {
-        self.members.iter().flat_map(move |m| m.scan(pattern))
-    }
-
     /// Decoded scan, for callers that want terms rather than IDs.
     pub fn scan_decoded(&self, pattern: QuadPattern) -> impl Iterator<Item = Quad> + '_ {
         self.scan(pattern).map(move |q| self.decode(&q))

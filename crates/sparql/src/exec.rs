@@ -177,9 +177,9 @@ pub(crate) mod batch;
 /// Execution tuning knobs: resource limits, worker threads, morsel size.
 ///
 /// `threads == 0` means "use [`std::thread::available_parallelism`]";
-/// `threads == 1` disables the morsel-parallel executor entirely and runs
-/// the legacy streaming pipeline, which is the reference for the
-/// bit-identical-results guarantee.
+/// `threads == 1` runs the morsel pipeline on the calling thread. Results
+/// are identical at every thread count. `threads(1).with_vectorize(false)`
+/// runs the streaming row pipeline, the reference for that guarantee.
 #[derive(Debug, Clone)]
 pub struct ExecOptions {
     /// Resource limits (row budget, memory budget, deadline).
@@ -190,9 +190,11 @@ pub struct ExecOptions {
     pub morsel_size: usize,
     /// Cooperative cancellation token (`None` = not cancellable).
     pub cancel: Option<CancelToken>,
-    /// Use the vectorized columnar pipeline where the plan supports it
-    /// (default). `false` forces the row-at-a-time pipeline everywhere —
-    /// the reference oracle for the bit-identical-results guarantee.
+    /// Use the vectorized columnar operators where the plan supports them
+    /// (default). `false` runs every operator row-at-a-time: the streaming
+    /// row pipeline at one thread (the reference oracle for the
+    /// bit-identical-results guarantee), and the row operators over each
+    /// morsel's driving-scan rows at more.
     pub vectorize: bool,
     /// Rows per column batch in the vectorized pipeline (clamped to at
     /// least 1).
@@ -412,7 +414,7 @@ const PATH_NODE_BYTES: u64 = 48;
 /// Estimated retained bytes per materialised output row slot.
 const SLOT_BYTES: u64 = 9;
 /// How many uncharged units a local accumulator may hold before it must
-/// charge the shared context (mirrors `WALK_CHARGE_CHUNK`).
+/// charge the shared context (one atomic op per chunk; totals unchanged).
 const MEM_CHARGE_CHUNK: u64 = 1024;
 
 #[derive(Default)]
@@ -839,7 +841,7 @@ pub fn execute_compiled_with_options(
 /// Executes a compiled query with per-step profiling: returns the
 /// results plus an [`ExecProfile`] holding each BGP/path step's actual
 /// rows, loops, and inclusive time. Profiling forces `threads == 1`
-/// (the sequential reference pipeline) so that per-step attribution is
+/// (one worker, on the calling thread) so that per-step attribution is
 /// exact; results are identical to any thread count by the executor's
 /// equivalence guarantee.
 pub fn execute_profiled(
@@ -926,10 +928,8 @@ pub fn exec_select(ctx: &EvalCtx, sel: &CSelect) -> Result<Vec<Row>, SparqlError
     let mut rows: Vec<Row> = if sel.is_grouped() {
         grouped_rows(ctx, sel)?
     } else {
-        let mut rows: Vec<Row> = if ctx.threads > 1 {
+        let mut rows: Vec<Row> = if ctx.threads > 1 || ctx.vectorize {
             par_produce(ctx, sel)
-        } else if let Some(rows) = batch::vec_produce(ctx, sel) {
-            rows
         } else {
             // Streaming reference path. The result buffer is retained
             // state like any other: charge it in chunks so a wide scan
@@ -1171,8 +1171,8 @@ impl Acc {
 }
 
 /// Produces the grouped rows of a grouped SELECT, choosing between the
-/// parallel fused-aggregation path, ordered parallel production feeding
-/// the sequential aggregation loop, and the legacy streaming path.
+/// fused morsel aggregation path, ordered morsel production feeding the
+/// sequential aggregation loop, and the streaming path.
 fn grouped_rows(ctx: &EvalCtx, sel: &CSelect) -> Result<Vec<Row>, SparqlError> {
     // The fused path also serves sequential vectorized execution: at
     // `threads == 1` the morsel loop runs on the calling thread and the
@@ -1190,10 +1190,8 @@ fn grouped_rows(ctx: &EvalCtx, sel: &CSelect) -> Result<Vec<Row>, SparqlError> {
         }
         // Ordered path: produce rows in exact sequential order (parallel
         // where the plan allows), then run the unchanged aggregation loop.
-        if ctx.threads > 1 || ctx.vectorize {
-            let rows = par_produce(ctx, sel);
-            return group_and_aggregate(ctx, sel, Box::new(rows.into_iter()));
-        }
+        let rows = par_produce(ctx, sel);
+        return group_and_aggregate(ctx, sel, Box::new(rows.into_iter()));
     }
     let input: BoxIter = Box::new(std::iter::once(ctx.empty_row()));
     let solutions = eval_node(ctx, &sel.root, input);
@@ -1818,110 +1816,17 @@ fn extend_pos(row: &mut Row, pos: &CPos, value: u64) -> bool {
     }
 }
 
-/// [`extend_row`] without the clone: binds the quad's values into `row`
-/// directly and returns a bitmask (S=1, P=2, O=4, G=8) of the positions
-/// whose slot was newly bound, for [`undo_extend`]. On a consistency
-/// mismatch the row is restored and `None` returned.
-fn extend_in_place(row: &mut Row, triple: &CTriple, quad: &quadstore::EncodedQuad) -> Option<u8> {
-    let mut mask = 0u8;
-    let positions: [(&CPos, u64, u8); 3] = [
-        (&triple.s, quad[quadstore::ids::S], 1),
-        (&triple.p, quad[quadstore::ids::P], 2),
-        (&triple.o, quad[quadstore::ids::O], 4),
-    ];
-    for (pos, value, bit) in positions {
-        match pos {
-            CPos::Var(slot) => match row[*slot] {
-                Some(existing) => {
-                    if existing != value {
-                        undo_extend(row, triple, mask);
-                        return None;
-                    }
-                }
-                None => {
-                    row[*slot] = Some(value);
-                    mask |= bit;
-                }
-            },
-            CPos::Const(_, Some(id)) => {
-                if id.0 != value {
-                    undo_extend(row, triple, mask);
-                    return None;
-                }
-            }
-            CPos::Const(_, None) => {}
-        }
-    }
-    if let CGraph::Var(slot) = &triple.g {
-        let value = quad[quadstore::ids::G];
-        match row[*slot] {
-            Some(existing) => {
-                if existing != value {
-                    undo_extend(row, triple, mask);
-                    return None;
-                }
-            }
-            None => {
-                row[*slot] = Some(value);
-                mask |= 8;
-            }
-        }
-    }
-    Some(mask)
-}
-
-/// Clears the slots that [`extend_in_place`] newly bound.
-fn undo_extend(row: &mut Row, triple: &CTriple, mask: u8) {
-    if mask & 1 != 0 {
-        if let CPos::Var(s) = &triple.s {
-            row[*s] = None;
-        }
-    }
-    if mask & 2 != 0 {
-        if let CPos::Var(s) = &triple.p {
-            row[*s] = None;
-        }
-    }
-    if mask & 4 != 0 {
-        if let CPos::Var(s) = &triple.o {
-            row[*s] = None;
-        }
-    }
-    if mask & 8 != 0 {
-        if let CGraph::Var(s) = &triple.g {
-            row[*s] = None;
-        }
-    }
-}
-
-/// True when probing this triple with this row cannot bind any new slot —
-/// every position is a constant or an already-bound variable. Such a step
-/// is a pure existence/multiplicity check: each matching quad passes the
-/// input row through unchanged, so no extension or clone is needed.
-fn binds_nothing(row: &Row, triple: &CTriple) -> bool {
-    let bound = |pos: &CPos| match pos {
-        CPos::Var(slot) => row[*slot].is_some(),
-        CPos::Const(..) => true,
-    };
-    bound(&triple.s)
-        && bound(&triple.p)
-        && bound(&triple.o)
-        && match &triple.g {
-            CGraph::Var(slot) => row[*slot].is_some(),
-            _ => true,
-        }
-}
-
 // ---------------------------------------------------------------------------
 // Morsel-driven parallel execution.
 //
 // The driving index scan of an eligible plan is split into fixed-size
 // morsels (contiguous chunks of the chosen sorted index, plus per-member
 // DML-delta morsels). Workers claim morsels from a shared counter, run the
-// downstream pipeline batch-at-a-time on each morsel, and the outputs are
-// concatenated in morsel order — which reproduces the sequential row order
-// exactly, because every operator admitted by `parallel_safe` is
-// "order-local": its output order depends only on its input order.
+// downstream pipeline (`batch::VecPipeline`) on each morsel, and the
+// outputs are concatenated in morsel order — which reproduces the
+// sequential row order exactly, because every operator admitted by
+// `parallel_safe` is "order-local": its output order depends only on its
+// input order.
 // ---------------------------------------------------------------------------
 
 /// One pipeline stage applied to each morsel's rows after the driving scan.
@@ -2028,7 +1933,7 @@ fn drive_plan<'p>(ctx: &EvalCtx, node: &'p Node) -> Option<DrivePlan<'p>> {
                 if !parallel_safe(child) {
                     return None;
                 }
-                stages.push(Stage::Node(child));
+                push_sibling(child, &mut stages);
             }
         }
         _ => return None,
@@ -2041,6 +1946,31 @@ fn drive_plan<'p>(ctx: &EvalCtx, node: &'p Node) -> Option<DrivePlan<'p>> {
         stages.push(Stage::Filters(f));
     }
     Some(DrivePlan { base, drive, stages, prefer: None })
+}
+
+/// Appends a Join sibling of the driving node as pipeline stages. Rows
+/// flow through Join children in order, and through a FILTER's inner
+/// node before its conjunction, so BGP siblings (the NG encoding's other
+/// `GRAPH {…}` groups) and FILTERs over them become plain Steps/Filters
+/// stages; anything else stays one Node stage.
+fn push_sibling<'p>(node: &'p Node, stages: &mut Vec<Stage<'p>>) {
+    match node {
+        Node::Steps(steps) => {
+            if !steps.is_empty() {
+                stages.push(Stage::Steps(steps));
+            }
+        }
+        Node::Join(children) => {
+            for child in children {
+                push_sibling(child, stages);
+            }
+        }
+        Node::Filter(filters, inner) => {
+            push_sibling(inner, stages);
+            stages.push(Stage::Filters(filters));
+        }
+        _ => stages.push(Stage::Node(node)),
+    }
 }
 
 /// Produces the root's solution rows in exact sequential order, running
@@ -2078,11 +2008,7 @@ fn par_produce_stages<'p>(
                 // Not drivable: evaluate this branch sequentially (the
                 // suffix can only hold filters unwrapped from above).
                 let input: BoxIter = Box::new(std::iter::once(ctx.empty_row()));
-                let mut rows: Vec<Row> = eval_node(ctx, node, input).collect();
-                for stage in suffix {
-                    rows = apply_stage(ctx, stage, rows);
-                }
-                rows
+                apply_stages(ctx, suffix, eval_node(ctx, node, input)).collect()
             }
         },
     }
@@ -2091,34 +2017,14 @@ fn par_produce_stages<'p>(
 /// Runs one drive plan across all its morsels, merging worker outputs in
 /// morsel order.
 fn run_morsels(ctx: &EvalCtx, plan: &DrivePlan<'_>, needed: &[bool]) -> Vec<Row> {
-    let pattern = match probe_pattern(&plan.base, &plan.drive.triple) {
-        Some(p) => p,
-        None => return Vec::new(),
+    let pipeline = batch::VecPipeline::compile(ctx, plan, needed);
+    pipeline.register_tallies(ctx);
+    let Some(pattern) = probe_pattern(&plan.base, &plan.drive.triple) else {
+        return Vec::new();
     };
-    let pipeline = if ctx.vectorize {
-        batch::VecPipeline::compile(ctx, plan, needed)
-    } else {
-        None
-    };
-    let ops = if pipeline.is_some() { None } else { build_walk_ops(ctx, plan) };
     let row_bytes = ctx.vars.len() as u64 * SLOT_BYTES + 32;
-    let run_one = |morsel: &Morsel| -> Vec<Row> {
-        let out = match (&pipeline, &ops) {
-            (Some(pipe), _) => {
-                let mut out = Vec::new();
-                let mut st = batch::VecState::new(pipe);
-                pipe.run_morsel(ctx, &pattern, morsel, &mut st, &mut out);
-                out
-            }
-            (None, Some(ops)) => {
-                let mut out = Vec::new();
-                let mut st = WalkState::default();
-                let mut sink = |row: &Row| out.push(row.clone());
-                walk_morsel(ctx, plan, ops, pattern, morsel, &mut st, &mut sink);
-                out
-            }
-            (None, None) => run_one_morsel(ctx, plan, pattern, morsel),
-        };
+    let run_one = |morsel: &Morsel, st: &mut batch::VecState| -> Vec<Row> {
+        let out = pipeline.run_morsel(ctx, &pattern, morsel, st);
         // The merged result set retains every morsel's output until the
         // final concatenation: one bulk memory charge per morsel.
         if !out.is_empty() {
@@ -2132,6 +2038,7 @@ fn run_morsels(ctx: &EvalCtx, plan: &DrivePlan<'_>, needed: &[bool]) -> Vec<Row>
     let workers = ctx.threads.min(morsels.len()).max(1);
     if workers <= 1 {
         let mut out = Vec::new();
+        let mut st = batch::VecState::new(&pipeline);
         let mut claimed = 0u64;
         for (i, morsel) in morsels.iter().enumerate() {
             if ctx.is_exhausted() {
@@ -2139,7 +2046,7 @@ fn run_morsels(ctx: &EvalCtx, plan: &DrivePlan<'_>, needed: &[bool]) -> Vec<Row>
             }
             claimed += 1;
             let started = trace.map(|t| t.now_nanos());
-            out.extend(run_one(morsel));
+            out.extend(run_one(morsel, &mut st));
             if let (Some(t), Some(started)) = (trace, started) {
                 t.record("drive", format!("morsel {i}"), 1, started);
             }
@@ -2157,9 +2064,11 @@ fn run_morsels(ctx: &EvalCtx, plan: &DrivePlan<'_>, needed: &[bool]) -> Vec<Row>
                 let next = &next;
                 let morsels = &morsels;
                 let run_one = &run_one;
+                let pipeline = &pipeline;
                 scope.spawn(move || {
                     let tid = w as u32 + 1;
                     let busy = track.then(|| crate::metrics::worker_busy_nanos().span());
+                    let mut st = batch::VecState::new(pipeline);
                     let mut local: Vec<(usize, Vec<Row>)> = Vec::new();
                     let mut claimed = 0u64;
                     loop {
@@ -2169,7 +2078,7 @@ fn run_morsels(ctx: &EvalCtx, plan: &DrivePlan<'_>, needed: &[bool]) -> Vec<Row>
                         }
                         claimed += 1;
                         let started = trace.map(|t| t.now_nanos());
-                        local.push((i, run_one(&morsels[i])));
+                        local.push((i, run_one(&morsels[i], &mut st)));
                         if let (Some(t), Some(started)) = (trace, started) {
                             t.record("drive", format!("morsel {i}"), tid, started);
                         }
@@ -2196,579 +2105,27 @@ fn run_morsels(ctx: &EvalCtx, plan: &DrivePlan<'_>, needed: &[bool]) -> Vec<Row>
     merged
 }
 
-/// Drives one morsel's scan and pushes its rows through the plan stages.
-fn run_one_morsel(
-    ctx: &EvalCtx,
-    plan: &DrivePlan<'_>,
-    pattern: QuadPattern,
-    morsel: &Morsel,
-) -> Vec<Row> {
-    let mut rows = Vec::new();
-    for quad in ctx.view.scan_morsel_ordered(pattern, morsel, plan.prefer) {
-        if let Some(new_row) = extend_row(&plan.base, &plan.drive.triple, &quad) {
-            rows.push(new_row);
-        }
-    }
-    if !rows.is_empty() && !ctx.charge(rows.len() as u64) {
-        return rows;
-    }
-    for stage in &plan.stages {
-        if rows.is_empty() || ctx.is_exhausted() {
-            break;
-        }
-        rows = apply_stage(ctx, stage, rows);
-    }
-    rows
-}
-
-fn apply_stage(ctx: &EvalCtx, stage: &Stage<'_>, rows: Vec<Row>) -> Vec<Row> {
-    match stage {
-        Stage::Steps(steps) => {
-            let mut rows = rows;
-            for step in *steps {
-                if rows.is_empty() {
-                    break;
-                }
-                rows = eval_step_batch(ctx, step, rows);
+/// Streams rows through pipeline stages on the row operators
+/// ([`eval_step`]/[`eval_node`]): the stages the columnar operators do
+/// not take (see [`batch::VecPipeline`]), and the filters over a root
+/// that is not drivable.
+fn apply_stages<'it>(ctx: &'it EvalCtx, stages: &[Stage<'it>], input: BoxIter<'it>) -> BoxIter<'it> {
+    let mut stream = input;
+    for stage in stages {
+        stream = match *stage {
+            Stage::Steps(steps) => {
+                steps.iter().fold(stream, |stream, step| eval_step(ctx, step, stream))
             }
-            rows
-        }
-        Stage::Node(node) => eval_node_batch(ctx, node, rows),
-        Stage::Filters(filters) => rows
-            .into_iter()
-            .filter(|row| {
+            Stage::Node(node) => eval_node(ctx, node, stream),
+            Stage::Filters(filters) => Box::new(stream.filter(move |row| {
                 filters.iter().all(|f| {
                     let env = RowEnv { ctx, row, aggs: None };
                     f.eval_filter(&env)
                 })
-            })
-            .collect(),
+            })),
+        };
     }
-}
-
-/// Batch mirror of [`eval_node`]: given the same input rows it produces
-/// the same output rows in the same order, without per-row boxed-iterator
-/// dispatch. Used by the morsel pipeline.
-fn eval_node_batch(ctx: &EvalCtx, node: &Node, rows: Vec<Row>) -> Vec<Row> {
-    match node {
-        Node::Steps(steps) => {
-            let mut rows = rows;
-            for step in steps {
-                if rows.is_empty() {
-                    break;
-                }
-                rows = eval_step_batch(ctx, step, rows);
-            }
-            rows
-        }
-        Node::Path(pstep) => {
-            let mut out = Vec::new();
-            'rows: for row in rows {
-                let s_val = pos_value(&row, &pstep.s);
-                let o_val = pos_value(&row, &pstep.o);
-                let bad = |v: &Option<Option<u64>>| matches!(v, Some(None));
-                if bad(&s_val) || bad(&o_val) {
-                    continue;
-                }
-                let pairs = path::eval_path_pairs_with(
-                    &ctx.view,
-                    &pstep.path,
-                    pstep.graph,
-                    s_val.flatten(),
-                    o_val.flatten(),
-                    ctx,
-                );
-                for (s, o) in pairs {
-                    let mut new_row = row.clone();
-                    if extend_pos(&mut new_row, &pstep.s, s)
-                        && extend_pos(&mut new_row, &pstep.o, o)
-                    {
-                        if !ctx.charge(1) {
-                            break 'rows;
-                        }
-                        out.push(new_row);
-                    }
-                }
-            }
-            out
-        }
-        Node::Join(children) => {
-            let mut rows = rows;
-            for child in children {
-                if rows.is_empty() {
-                    break;
-                }
-                rows = eval_node_batch(ctx, child, rows);
-            }
-            rows
-        }
-        Node::Filter(filters, inner) => {
-            let rows = eval_node_batch(ctx, inner, rows);
-            rows.into_iter()
-                .filter(|row| {
-                    filters.iter().all(|f| {
-                        let env = RowEnv { ctx, row, aggs: None };
-                        f.eval_filter(&env)
-                    })
-                })
-                .collect()
-        }
-        Node::Union(a, b) => {
-            let right_input = rows.clone();
-            let mut out = eval_node_batch(ctx, a, rows);
-            out.extend(eval_node_batch(ctx, b, right_input));
-            out
-        }
-        Node::Optional(a, b) => {
-            let left = eval_node_batch(ctx, a, rows);
-            let mut out = Vec::new();
-            for row in left {
-                let matches = eval_node_batch(ctx, b, vec![row.clone()]);
-                if matches.is_empty() {
-                    out.push(row);
-                } else {
-                    out.extend(matches);
-                }
-            }
-            out
-        }
-        Node::SubSelect(sel) => {
-            let inner = ctx.shared_select_rows(sel);
-            let input_rows = rows;
-            let slots = sel.projected_slots();
-            let join_slots: Vec<usize> = slots
-                .iter()
-                .copied()
-                .filter(|&s| {
-                    !input_rows.is_empty() && input_rows.iter().all(|r| r[s].is_some())
-                })
-                .collect();
-            let mut table: HashMap<Vec<u64>, Vec<Row>> = HashMap::new();
-            for irow in inner {
-                let key: Option<Vec<u64>> = join_slots.iter().map(|&s| irow[s]).collect();
-                if let Some(key) = key {
-                    table.entry(key).or_default().push(irow);
-                }
-            }
-            let mut out = Vec::new();
-            for row in input_rows {
-                let key: Vec<u64> = join_slots
-                    .iter()
-                    .map(|&s| row[s].expect("join slot bound in all input rows"))
-                    .collect();
-                if let Some(matches) = table.get(&key) {
-                    'matches: for m in matches {
-                        let mut merged = row.clone();
-                        for &s in &slots {
-                            match (merged[s], m[s]) {
-                                (Some(a), Some(b)) if a != b => continue 'matches,
-                                (None, b) => merged[s] = b,
-                                _ => {}
-                            }
-                        }
-                        out.push(merged);
-                    }
-                }
-            }
-            out
-        }
-        Node::Values { slots, rows: vrows } => {
-            let resolved: Vec<Vec<Option<u64>>> = vrows
-                .iter()
-                .map(|row| {
-                    row.iter()
-                        .map(|t| t.as_ref().map(|t| ctx.intern_term(t)))
-                        .collect()
-                })
-                .collect();
-            let mut out = Vec::new();
-            for row in rows {
-                'vrows: for vrow in &resolved {
-                    let mut merged = row.clone();
-                    for (&slot, value) in slots.iter().zip(vrow) {
-                        if let Some(v) = value {
-                            match merged[slot] {
-                                Some(existing) if existing != *v => continue 'vrows,
-                                _ => merged[slot] = Some(*v),
-                            }
-                        }
-                    }
-                    out.push(merged);
-                }
-            }
-            out
-        }
-        Node::Extend(slot, expr) => {
-            let mut rows = rows;
-            for row in &mut rows {
-                let value = {
-                    let env = RowEnv { ctx, row, aggs: None };
-                    expr.eval(&env)
-                };
-                row[*slot] = value.map(|v| ctx.intern_value(v));
-            }
-            rows
-        }
-        Node::Minus(inner) => {
-            let right: Vec<Row> = ctx.shared_minus_rows(inner);
-            rows.into_iter()
-                .filter(|row| {
-                    !right.iter().any(|r| {
-                        let mut shared = false;
-                        for (a, b) in row.iter().zip(r.iter()) {
-                            if let (Some(x), Some(y)) = (a, b) {
-                                if x != y {
-                                    return false;
-                                }
-                                shared = true;
-                            }
-                        }
-                        shared
-                    })
-                })
-                .collect()
-        }
-    }
-}
-
-/// Batch mirror of [`eval_step`].
-fn eval_step_batch(ctx: &EvalCtx, step: &Step, rows: Vec<Row>) -> Vec<Row> {
-    match &step.strategy {
-        Strategy::IndexNlj => {
-            let mut out = Vec::new();
-            'rows: for row in rows {
-                if let Some(pattern) = probe_pattern(&row, &step.triple) {
-                    if binds_nothing(&row, &step.triple) {
-                        // Existence/multiplicity check: every match passes
-                        // the row through unchanged (a member-duplicated
-                        // quad matches more than once, like in the
-                        // streaming path), so the row is moved, not cloned.
-                        let n = ctx.view.count_matches(&pattern);
-                        if n > 0 {
-                            for _ in 1..n {
-                                out.push(row.clone());
-                            }
-                            out.push(row);
-                            if !ctx.charge(n as u64) {
-                                break 'rows;
-                            }
-                        }
-                        continue;
-                    }
-                    let before = out.len();
-                    for quad in ctx.view.probe(pattern) {
-                        if let Some(new_row) = extend_row(&row, &step.triple, &quad) {
-                            out.push(new_row);
-                        }
-                    }
-                    let produced = (out.len() - before) as u64;
-                    if produced > 0 && !ctx.charge(produced) {
-                        break 'rows;
-                    }
-                }
-            }
-            out
-        }
-        Strategy::HashJoin { join_slots } => {
-            let cell = ctx.build_cell(step);
-            let mut out = Vec::new();
-            'rows: for row in rows {
-                // Mirror the streaming hash join: computed IDs in a join
-                // slot can never match stored quads; an unbound join slot
-                // falls back to a per-row index scan.
-                if join_slots
-                    .iter()
-                    .any(|&s| matches!(row[s], Some(id) if id & COMPUTED_BIT != 0))
-                {
-                    continue;
-                }
-                if join_slots.iter().any(|&s| row[s].is_none()) {
-                    if let Some(pattern) = probe_pattern(&row, &step.triple) {
-                        let before = out.len();
-                        for quad in ctx.view.probe(pattern) {
-                            if let Some(new_row) = extend_row(&row, &step.triple, &quad) {
-                                out.push(new_row);
-                            }
-                        }
-                        let produced = (out.len() - before) as u64;
-                        if produced > 0 && !ctx.charge(produced) {
-                            break 'rows;
-                        }
-                    }
-                    continue;
-                }
-                let table = cell.get_or_init(|| build_table(ctx, step, join_slots));
-                let key: Vec<u64> = join_slots
-                    .iter()
-                    .map(|&s| row[s].expect("checked above"))
-                    .collect();
-                if let Some(quads) = table.get(&key) {
-                    let before = out.len();
-                    for quad in quads {
-                        if let Some(new_row) = extend_row(&row, &step.triple, quad) {
-                            out.push(new_row);
-                        }
-                    }
-                    let produced = (out.len() - before) as u64;
-                    if produced > 0 && !ctx.charge(produced) {
-                        break 'rows;
-                    }
-                }
-            }
-            out
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The zero-allocation pipeline walk.
-//
-// When every stage after the driving scan is element-wise (steps and
-// filters — no Node stages), the whole pipeline runs depth-first over ONE
-// scratch row per worker: each join step binds its quad's values into the
-// row in place, recurses, and undoes its bindings. No intermediate row is
-// ever cloned; only the sink at the bottom sees (and may copy) finished
-// rows. Depth-first enumeration visits final rows in exactly the
-// sequential streaming order, so morsel-order merging still reproduces it.
-// ---------------------------------------------------------------------------
-
-/// One element-wise pipeline operation, pre-resolved for the walk.
-enum WalkOp<'p> {
-    /// An index nested-loop join step.
-    Nlj(&'p Step),
-    /// A hash join step with its shared build-side cell.
-    Hash { step: &'p Step, join_slots: &'p [usize], cell: Arc<OnceLock<BuildTable>> },
-    /// A FILTER conjunction.
-    Filter(&'p [CExpr]),
-}
-
-/// Flattens a drive plan's stages into walk operations, or `None` when a
-/// stage is not element-wise (a sibling Node — those need batch inputs).
-fn build_walk_ops<'p>(ctx: &EvalCtx, plan: &DrivePlan<'p>) -> Option<Vec<WalkOp<'p>>> {
-    let mut ops = Vec::new();
-    for stage in &plan.stages {
-        match stage {
-            Stage::Steps(steps) => {
-                for step in *steps {
-                    match &step.strategy {
-                        Strategy::IndexNlj => ops.push(WalkOp::Nlj(step)),
-                        Strategy::HashJoin { join_slots } => ops.push(WalkOp::Hash {
-                            step,
-                            join_slots,
-                            cell: ctx.build_cell(step),
-                        }),
-                    }
-                }
-            }
-            Stage::Filters(filters) => ops.push(WalkOp::Filter(filters)),
-            Stage::Node(_) => return None,
-        }
-    }
-    Some(ops)
-}
-
-/// How many produced rows a walk accumulates before charging the context
-/// (one atomic op per chunk instead of per row; totals are unchanged).
-const WALK_CHARGE_CHUNK: u64 = 1024;
-
-/// Per-worker walk accounting: rows produced since the last charge, and a
-/// sticky stop flag raised when a resource limit fires.
-#[derive(Default)]
-struct WalkState {
-    pending: u64,
-    stop: bool,
-    /// Per-op-depth memo of the last probe: the driving scan is
-    /// index-sorted, so consecutive rows very often resolve a downstream
-    /// step to the *same* probe pattern (e.g. the triangle query's middle
-    /// edge repeats once per in-group neighbour). A hit replays the
-    /// materialised matches and skips the index binary searches entirely.
-    /// Keyed by pattern value only — the store is immutable during a
-    /// query, so equal patterns always yield equal match lists.
-    memo: Vec<ProbeMemo>,
-}
-
-#[derive(Default)]
-struct ProbeMemo {
-    pattern: Option<QuadPattern>,
-    quads: Vec<quadstore::EncodedQuad>,
-}
-
-impl WalkState {
-    fn produce(&mut self, ctx: &EvalCtx, n: u64) -> bool {
-        if self.stop {
-            return false;
-        }
-        self.pending += n;
-        if self.pending >= WALK_CHARGE_CHUNK {
-            let n = std::mem::take(&mut self.pending);
-            if !ctx.charge(n) {
-                self.stop = true;
-                return false;
-            }
-        }
-        true
-    }
-
-    fn flush(&mut self, ctx: &EvalCtx) {
-        let n = std::mem::take(&mut self.pending);
-        if n > 0 && !ctx.charge(n) {
-            self.stop = true;
-        }
-    }
-}
-
-/// Runs the remaining operations depth-first over the scratch row,
-/// invoking `sink` once per finished pipeline row.
-fn walk(
-    ctx: &EvalCtx,
-    ops: &[WalkOp<'_>],
-    depth: usize,
-    row: &mut Row,
-    st: &mut WalkState,
-    sink: &mut dyn FnMut(&Row),
-) {
-    let Some(op) = ops.get(depth) else {
-        sink(row);
-        return;
-    };
-    match op {
-        WalkOp::Filter(filters) => {
-            let pass = filters.iter().all(|f| {
-                let env = RowEnv { ctx, row: &*row, aggs: None };
-                f.eval_filter(&env)
-            });
-            if pass {
-                walk(ctx, ops, depth + 1, row, st, sink);
-            }
-        }
-        WalkOp::Nlj(step) => walk_probe(ctx, ops, depth, step, row, st, sink),
-        WalkOp::Hash { step, join_slots, cell } => {
-            // Mirrors the batch hash join: computed IDs never match stored
-            // quads; an unbound join slot falls back to an index probe.
-            if join_slots
-                .iter()
-                .any(|&s| matches!(row[s], Some(id) if id & COMPUTED_BIT != 0))
-            {
-                return;
-            }
-            if join_slots.iter().any(|&s| row[s].is_none()) {
-                walk_probe(ctx, ops, depth, step, row, st, sink);
-                return;
-            }
-            let table = cell.get_or_init(|| build_table(ctx, step, join_slots));
-            // Key on the stack: a triple has at most four variable
-            // positions, and `Vec<u64>: Borrow<[u64]>` lets the map be
-            // probed with a slice — no allocation per input row.
-            let mut key = [0u64; 4];
-            for (dst, &s) in key.iter_mut().zip(join_slots.iter()) {
-                *dst = row[s].expect("checked above");
-            }
-            let Some(quads) = table.get(&key[..join_slots.len()]) else { return };
-            for quad in quads {
-                if st.stop {
-                    return;
-                }
-                if let Some(mask) = extend_in_place(row, &step.triple, quad) {
-                    let ok = st.produce(ctx, 1);
-                    if ok {
-                        walk(ctx, ops, depth + 1, row, st, sink);
-                    }
-                    undo_extend(row, &step.triple, mask);
-                    if !ok {
-                        return;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// One index probe of the walk: extend in place per matching quad, or —
-/// when the row already binds every position — pass the row through once
-/// per match without touching it.
-fn walk_probe(
-    ctx: &EvalCtx,
-    ops: &[WalkOp<'_>],
-    depth: usize,
-    step: &Step,
-    row: &mut Row,
-    st: &mut WalkState,
-    sink: &mut dyn FnMut(&Row),
-) {
-    let Some(pattern) = probe_pattern(row, &step.triple) else { return };
-    if binds_nothing(row, &step.triple) {
-        let n = ctx.view.count_matches(&pattern);
-        if n == 0 {
-            return;
-        }
-        if !st.produce(ctx, n as u64) {
-            return;
-        }
-        for _ in 0..n {
-            if st.stop {
-                return;
-            }
-            walk(ctx, ops, depth + 1, row, st, sink);
-        }
-        return;
-    }
-    if st.memo.len() <= depth {
-        st.memo.resize_with(depth + 1, ProbeMemo::default);
-    }
-    if st.memo[depth].pattern != Some(pattern) {
-        let mut quads = std::mem::take(&mut st.memo[depth].quads);
-        quads.clear();
-        quads.extend(ctx.view.probe(pattern));
-        st.memo[depth] = ProbeMemo { pattern: Some(pattern), quads };
-    }
-    // Take the match list out of the memo while recursing (deeper levels
-    // borrow `st` for their own memo slots), and put it back after.
-    let quads = std::mem::take(&mut st.memo[depth].quads);
-    for quad in &quads {
-        if st.stop {
-            break;
-        }
-        if let Some(mask) = extend_in_place(row, &step.triple, quad) {
-            let ok = st.produce(ctx, 1);
-            if ok {
-                walk(ctx, ops, depth + 1, row, st, sink);
-            }
-            undo_extend(row, &step.triple, mask);
-            if !ok {
-                break;
-            }
-        }
-    }
-    st.memo[depth].quads = quads;
-}
-
-/// Walks one morsel of a drive plan, feeding finished rows to `sink`.
-fn walk_morsel(
-    ctx: &EvalCtx,
-    plan: &DrivePlan<'_>,
-    ops: &[WalkOp<'_>],
-    pattern: QuadPattern,
-    morsel: &Morsel,
-    st: &mut WalkState,
-    sink: &mut dyn FnMut(&Row),
-) {
-    let mut row = plan.base.clone();
-    for quad in ctx.view.scan_morsel_ordered(pattern, morsel, plan.prefer) {
-        if st.stop {
-            break;
-        }
-        if let Some(mask) = extend_in_place(&mut row, &plan.drive.triple, &quad) {
-            let ok = st.produce(ctx, 1);
-            if ok {
-                walk(ctx, ops, 0, &mut row, st, sink);
-            }
-            undo_extend(&mut row, &plan.drive.triple, mask);
-            if !ok {
-                break;
-            }
-        }
-    }
-    st.flush(ctx);
+    stream
 }
 
 // ---------------------------------------------------------------------------
@@ -2805,12 +2162,13 @@ fn fast_agg(agg: &CAggregate) -> Option<FastAgg> {
     }
 }
 
-/// A multiply-rotate hasher for the fused path's internal group maps.
+/// A multiply-rotate hasher for the maps and sets keyed by dictionary IDs
+/// (group maps, hash-join build sides, path node sets).
 /// Far cheaper than the default SipHash on the short term-ID keys these
 /// maps use — and safe here, because the keys are dictionary IDs minted
 /// by the store, not attacker-controlled byte strings.
 #[derive(Default)]
-struct IdHasher(u64);
+pub(crate) struct IdHasher(u64);
 
 impl std::hash::Hasher for IdHasher {
     fn finish(&self) -> u64 {
@@ -2838,7 +2196,7 @@ impl std::hash::Hasher for IdHasher {
     }
 }
 
-type IdHashState = std::hash::BuildHasherDefault<IdHasher>;
+pub(crate) type IdHashState = std::hash::BuildHasherDefault<IdHasher>;
 
 /// One worker's partial aggregation state.
 #[derive(Default)]
@@ -2931,61 +2289,24 @@ fn par_grouped(ctx: &EvalCtx, sel: &CSelect) -> Option<GroupedPartial> {
         }
         patterns.push(pattern);
     }
-    // Per-plan vectorized pipelines (compiled after the sort preference is
-    // fixed — the pipeline captures `prefer` for its driving scan). Plans
-    // the columnar compiler rejects fall back to the zero-alloc walk.
-    let needed = if ctx.vectorize { batch::needed_slots(ctx, sel) } else { Vec::new() };
-    let pipelines: Vec<Option<batch::VecPipeline<'_>>> = plans
-        .iter()
-        .map(|p| {
-            if ctx.vectorize {
-                batch::VecPipeline::compile(ctx, p, &needed)
-            } else {
-                None
-            }
-        })
-        .collect();
-    // Per-plan walk programs: element-wise pipelines aggregate straight
-    // out of the depth-first walk with zero row materialisation.
-    let walk_ops: Vec<Option<Vec<WalkOp<'_>>>> = plans
-        .iter()
-        .enumerate()
-        .map(|(i, p)| if pipelines[i].is_some() { None } else { build_walk_ops(ctx, p) })
-        .collect();
-    let run_task =
-        |t: usize, sink: &mut RunSink, st: &mut WalkState, vst: &mut [batch::VecState]| {
-            let (i, morsel) = &tasks[t];
-            let plan = &plans[*i];
-            let pattern = patterns[*i].expect("task implies pattern");
-            if let Some(pipe) = &pipelines[*i] {
-                pipe.run_morsel_grouped(ctx, sel, &fast, &pattern, morsel, &mut vst[*i], sink);
-                return;
-            }
-            match &walk_ops[*i] {
-                Some(ops) => {
-                    let mut feed = |row: &Row| sink.push(ctx, sel, &fast, row);
-                    walk_morsel(ctx, plan, ops, pattern, morsel, st, &mut feed);
-                }
-                None => {
-                    for row in run_one_morsel(ctx, plan, pattern, morsel) {
-                        sink.push(ctx, sel, &fast, &row);
-                    }
-                }
-            }
-        };
-    let new_states = || -> Vec<batch::VecState> {
-        pipelines
-            .iter()
-            .map(|p| p.as_ref().map(batch::VecState::new).unwrap_or_default())
-            .collect()
+    // Per-plan pipelines (compiled after the sort preference is fixed —
+    // the pipeline captures `prefer` for its driving scan).
+    let needed = batch::needed_slots(ctx, sel);
+    let pipelines: Vec<batch::VecPipeline<'_>> =
+        plans.iter().map(|p| batch::VecPipeline::compile(ctx, p, &needed)).collect();
+    let run_task = |t: usize, sink: &mut RunSink, vst: &mut [batch::VecState]| {
+        let (i, morsel) = &tasks[t];
+        let pattern = patterns[*i].expect("task implies pattern");
+        pipelines[*i].run_morsel_grouped(ctx, sel, &fast, &pattern, morsel, &mut vst[*i], sink);
     };
+    let new_states =
+        || -> Vec<batch::VecState> { pipelines.iter().map(batch::VecState::new).collect() };
     let track = telemetry::enabled();
     let trace = ctx.trace();
     let workers = ctx.threads.min(tasks.len()).max(1);
     let mut partials: Vec<GroupedPartial> = Vec::new();
     if workers <= 1 {
         let mut sink = RunSink::default();
-        let mut st = WalkState::default();
         let mut vst = new_states();
         let mut claimed = 0u64;
         for t in 0..tasks.len() {
@@ -2994,7 +2315,7 @@ fn par_grouped(ctx: &EvalCtx, sel: &CSelect) -> Option<GroupedPartial> {
             }
             claimed += 1;
             let started = trace.map(|tr| tr.now_nanos());
-            run_task(t, &mut sink, &mut st, &mut vst);
+            run_task(t, &mut sink, &mut vst);
             if let (Some(tr), Some(started)) = (trace, started) {
                 tr.record("drive", format!("agg morsel {t}"), 1, started);
             }
@@ -3016,7 +2337,6 @@ fn par_grouped(ctx: &EvalCtx, sel: &CSelect) -> Option<GroupedPartial> {
                         let tid = w as u32 + 1;
                         let busy = track.then(|| crate::metrics::worker_busy_nanos().span());
                         let mut sink = RunSink::default();
-                        let mut st = WalkState::default();
                         let mut vst = new_states();
                         let mut claimed = 0u64;
                         loop {
@@ -3026,7 +2346,7 @@ fn par_grouped(ctx: &EvalCtx, sel: &CSelect) -> Option<GroupedPartial> {
                             }
                             claimed += 1;
                             let started = trace.map(|tr| tr.now_nanos());
-                            run_task(t, &mut sink, &mut st, &mut vst);
+                            run_task(t, &mut sink, &mut vst);
                             if let (Some(tr), Some(started)) = (trace, started) {
                                 tr.record("drive", format!("agg morsel {t}"), tid, started);
                             }

@@ -1,16 +1,18 @@
-//! The vectorized columnar pipeline.
+//! The vectorized columnar pipeline: the engine's one morsel executor.
 //!
-//! A drive plan whose stages are all element-wise (steps and filters — no
-//! sibling Node stages) can run batch-at-a-time over *columns* of
-//! dictionary IDs instead of materialised `Row`s: the driving index scan
-//! fills one `Vec<u64>` per bound variable straight from the sorted key
-//! runs, each join step turns a batch into the next batch via a
-//! source-index vector (the columnar analogue of the row pipeline's
-//! extend-per-match loop), and filters emit selection vectors that are
-//! applied with a single gather per surviving column. Dictionary
-//! materialisation is deferred: only FILTER expressions that need term
-//! values (the scalar fallback) and final result emission touch the
-//! dictionary; everything else moves raw IDs.
+//! A drive plan runs batch-at-a-time over *columns* of dictionary IDs
+//! instead of materialised `Row`s: the driving index scan fills one
+//! `Vec<u64>` per bound variable straight from the sorted key runs, each
+//! join step turns a batch into the next batch via a source-index vector
+//! (the columnar analogue of the row pipeline's extend-per-match loop),
+//! and filters emit selection vectors that are applied with a single
+//! gather per surviving column. Dictionary materialisation is deferred:
+//! only FILTER expressions that need term values (the scalar fallback)
+//! and final result emission touch the dictionary; everything else moves
+//! raw IDs. A variable repeated inside one triple (the NG encoding's
+//! `GRAPH ?g { ?g k:hasTag "t" }`) is bound at its first position and
+//! checked for equality at the later ones, in the drive scan and in
+//! probes alike.
 //!
 //! Liveness analysis prunes dead columns: a variable that no downstream
 //! operator and no output expression reads is never gathered (or even
@@ -22,10 +24,13 @@
 //! Everything here mirrors the row pipeline's semantics *exactly*: the
 //! same probe patterns, the same charge totals against [`ExecLimits`],
 //! and the same per-step profile tallies (loops, rows) for EXPLAIN
-//! ANALYZE. Plans the compiler here cannot express (sibling nodes,
-//! repeated unbound variables inside one triple, computed IDs in the base
-//! row, statically unbound hash-join keys) fall back to the row pipeline
-//! by returning `None` from [`VecPipeline::compile`].
+//! ANALYZE. The stages the columnar compiler does not take form the
+//! pipeline's *tail*: the first OPTIONAL, BIND, VALUES, MINUS or path
+//! sibling, or hash join whose key is statically unbound, and every
+//! stage after it; or every stage, when the base row holds a computed ID
+//! or under `vectorize(false)`. Each morsel's rows run through the tail
+//! on the streaming row operators ([`eval_step`]/[`eval_node`]), which
+//! stay the single fallback and the reference.
 
 use super::*;
 
@@ -97,7 +102,15 @@ enum VecOp<'p> {
     /// Index nested-loop probe: per input row, probe the per-row pattern
     /// and emit one output row per match (memoized on the pattern, which
     /// repeats in long runs because the drive column is index-sorted).
-    Probe { step: &'p Step, spec: ProbeSpec, binds: Vec<(usize, usize)>, keep: Vec<usize> },
+    Probe {
+        step: &'p Step,
+        spec: ProbeSpec,
+        /// Quad position pairs that must hold equal IDs (a variable
+        /// repeated inside the triple; see [`triple_binds`]).
+        eqs: Vec<(usize, usize)>,
+        binds: Vec<(usize, usize)>,
+        keep: Vec<usize>,
+    },
     /// Pure existence/multiplicity check: every position statically
     /// bound, so each input row is replicated `count_matches` times.
     Count { step: &'p Step, spec: ProbeSpec, keep: Vec<usize> },
@@ -109,6 +122,7 @@ enum VecOp<'p> {
         /// Residual equality checks for positions the key does not cover
         /// (mirrors `extend_row`'s consistency checks).
         checks: Vec<(usize, ValSrc)>,
+        eqs: Vec<(usize, usize)>,
         binds: Vec<(usize, usize)>,
         keep: Vec<usize>,
     },
@@ -153,8 +167,8 @@ struct OpMemo {
 }
 
 /// Per-worker mutable pipeline state (memoization only; everything else
-/// lives on the stack of `run_morsel`).
-#[derive(Default)]
+/// lives on the stack of `run_morsel`). One per worker, so the memo
+/// survives morsel boundaries.
 pub(super) struct VecState {
     memos: Vec<OpMemo>,
 }
@@ -173,16 +187,22 @@ impl VecState {
     }
 }
 
-/// A compiled vectorized pipeline for one drive plan.
+/// A compiled pipeline for one drive plan: columnar operators, then the
+/// row-operator tail.
 pub(super) struct VecPipeline<'p> {
     drive: &'p Step,
     prefer: Option<usize>,
     base: Row,
-    /// Quad positions the driving scan extracts (parallel to
-    /// `drive_slots`), pruned to live slots.
+    /// Quad positions the driving scan extracts: first the live bound
+    /// positions (parallel to `drive_slots`), then any further positions
+    /// `drive_eqs` compares.
     positions: Vec<usize>,
     drive_slots: Vec<usize>,
+    /// Index pairs into `positions` whose IDs must be equal.
+    drive_eqs: Vec<(usize, usize)>,
     ops: Vec<VecOp<'p>>,
+    /// Stages run on the streaming row operators after `ops`.
+    tail: Vec<Stage<'p>>,
     /// Column slots present after the last operator.
     final_cols: Vec<usize>,
     /// Output row template: base constants at needed slots, `None`
@@ -237,21 +257,15 @@ pub(super) fn needed_slots(ctx: &EvalCtx, sel: &CSelect) -> Vec<bool> {
 }
 
 impl<'p> VecPipeline<'p> {
-    /// Compiles a drive plan into a vectorized pipeline, or `None` when a
-    /// construct forces the row pipeline.
+    /// Compiles a drive plan: the longest prefix of its stages that the
+    /// columnar operators express, and the rest as the row tail.
     pub(super) fn compile(
         ctx: &EvalCtx,
         plan: &DrivePlan<'p>,
         needed: &[bool],
-    ) -> Option<VecPipeline<'p>> {
+    ) -> VecPipeline<'p> {
         let nvars = ctx.vars.len();
         debug_assert_eq!(needed.len(), nvars);
-        // Computed IDs in the base row take per-row code paths
-        // (probe_pattern bailouts, hash-join skips) that the columnar
-        // compiler does not model.
-        if plan.base.iter().flatten().any(|id| id & COMPUTED_BIT != 0) {
-            return None;
-        }
         let mut bind: Vec<BindState> = plan
             .base
             .iter()
@@ -262,49 +276,62 @@ impl<'p> VecPipeline<'p> {
             .collect();
 
         // The driving scan binds its triple's free variable positions.
-        let drive_binds_all = triple_binds(&plan.drive.triple, &mut bind)?;
+        let (drive_binds_all, drive_eqs_pos) = triple_binds(&plan.drive.triple, &mut bind);
 
-        // Pass 1: draft every operator, tracking reads and binds.
+        // Pass 1: draft every operator, tracking reads and binds, up to
+        // the first stage the columnar operators cannot express.
         struct Draft<'p> {
             op: VecOp<'p>,
             reads: Vec<usize>,
             binds_all: Vec<(usize, usize)>,
         }
         let mut drafts: Vec<Draft<'p>> = Vec::new();
+        let mut tail: Vec<Stage<'p>> = Vec::new();
         let mut any_exists = false;
-        for stage in &plan.stages {
+        // Computed IDs in the base row take per-row code paths
+        // (probe_pattern bailouts, hash-join skips) that the columnar
+        // operators do not model.
+        let columnar =
+            ctx.vectorize && !plan.base.iter().flatten().any(|id| id & COMPUTED_BIT != 0);
+        if !columnar {
+            tail.extend_from_slice(&plan.stages);
+        }
+        'stages: for (si, stage) in plan.stages.iter().enumerate().take_while(|_| columnar) {
             match stage {
-                Stage::Node(_) => return None,
+                Stage::Node(_) => {
+                    tail.extend_from_slice(&plan.stages[si..]);
+                    break 'stages;
+                }
                 Stage::Steps(steps) => {
-                    for step in *steps {
+                    for (k, step) in steps.iter().enumerate() {
                         let draft = match &step.strategy {
                             Strategy::IndexNlj => {
-                                let (spec, reads) = probe_spec(&step.triple, &bind)?;
-                                let binds_all = triple_binds(&step.triple, &mut bind)?;
-                                if binds_all.is_empty() {
-                                    Draft {
-                                        op: VecOp::Count { step, spec, keep: Vec::new() },
-                                        reads,
-                                        binds_all,
-                                    }
+                                let Some((spec, reads)) = probe_spec(&step.triple, &bind) else {
+                                    tail.push(Stage::Steps(&steps[k..]));
+                                    tail.extend_from_slice(&plan.stages[si + 1..]);
+                                    break 'stages;
+                                };
+                                let (binds_all, eqs) = triple_binds(&step.triple, &mut bind);
+                                let op = if binds_all.is_empty() {
+                                    VecOp::Count { step, spec, keep: Vec::new() }
                                 } else {
-                                    Draft {
-                                        op: VecOp::Probe {
-                                            step,
-                                            spec,
-                                            binds: Vec::new(),
-                                            keep: Vec::new(),
-                                        },
-                                        reads,
-                                        binds_all,
+                                    VecOp::Probe {
+                                        step,
+                                        spec,
+                                        eqs,
+                                        binds: Vec::new(),
+                                        keep: Vec::new(),
                                     }
-                                }
+                                };
+                                Draft { op, reads, binds_all }
                             }
                             Strategy::HashJoin { join_slots } => {
-                                // A statically unbound or repeated key slot
-                                // takes the streaming per-row fallback.
+                                // A statically unbound key slot takes the
+                                // streaming per-row fallback.
                                 if join_slots.iter().any(|&s| bind[s] == BindState::Unbound) {
-                                    return None;
+                                    tail.push(Stage::Steps(&steps[k..]));
+                                    tail.extend_from_slice(&plan.stages[si + 1..]);
+                                    break 'stages;
                                 }
                                 let mut reads = Vec::new();
                                 let key_srcs: Vec<ValSrc> = join_slots
@@ -319,13 +346,14 @@ impl<'p> VecPipeline<'p> {
                                     &bind,
                                     &mut reads,
                                 );
-                                let binds_all = triple_binds(&step.triple, &mut bind)?;
+                                let (binds_all, eqs) = triple_binds(&step.triple, &mut bind);
                                 Draft {
                                     op: VecOp::Hash {
                                         step,
                                         cell: ctx.build_cell(step),
                                         key_srcs,
                                         checks,
+                                        eqs,
                                         binds: Vec::new(),
                                         keep: Vec::new(),
                                     },
@@ -354,97 +382,84 @@ impl<'p> VecPipeline<'p> {
             }
         }
 
-        // An EXISTS inside a filter may read any slot through its inner
-        // pattern: keep everything alive.
-        let mut final_need: Vec<bool> = needed.to_vec();
-        if any_exists {
-            final_need.iter_mut().for_each(|b| *b = true);
-            for d in &mut drafts {
-                if let VecOp::Filter { specs, .. } = &mut d.op {
-                    for s in specs.iter_mut() {
-                        if let FilterSpec::Generic { col_slots, .. } = s {
-                            // Fill every column that exists at this point;
-                            // computed below once liveness is known.
-                            col_slots.clear();
-                        }
-                    }
-                }
-            }
-        }
-
-        // Pass 2: backward liveness. need_from[k] = slots read by op k or
-        // any later op, or needed by the output — minus slots op k binds
-        // (they do not exist upstream of k).
+        // Pass 2: backward liveness, flattened to one buffer: row k of
+        // `need` holds the slots read by op k or any later op, or needed
+        // by the output — minus slots op k binds (they do not exist
+        // upstream of k). Row `nops` is the output's need: an EXISTS
+        // inside a filter may read any slot through its inner pattern, and
+        // the row tail may read any slot, so either keeps everything alive.
         let nops = drafts.len();
-        let mut need_from: Vec<Vec<bool>> = vec![vec![false; nvars]; nops + 1];
-        need_from[nops].clone_from(&final_need);
+        let mut need = vec![false; (nops + 1) * nvars];
+        if any_exists || !tail.is_empty() {
+            need[nops * nvars..].fill(true);
+        } else {
+            need[nops * nvars..].copy_from_slice(needed);
+        }
         for k in (0..nops).rev() {
-            let mut cur = need_from[k + 1].clone();
+            let (cur, next) = need[k * nvars..(k + 2) * nvars].split_at_mut(nvars);
+            cur.copy_from_slice(next);
             for &(_, slot) in &drafts[k].binds_all {
                 cur[slot] = false;
             }
             for &s in &drafts[k].reads {
                 cur[s] = true;
             }
-            need_from[k] = cur;
         }
+        let need_at = |k: usize, slot: usize| need[k * nvars + slot];
 
         // Pass 3: forward presence; prune drive columns, per-op binds and
         // keep lists to live slots.
-        let mut present = vec![false; nvars];
+        let mut live = vec![false; nvars];
         let mut positions = Vec::new();
         let mut drive_slots = Vec::new();
         for &(pos, slot) in &drive_binds_all {
-            present[slot] = true;
-            if need_from[0][slot] {
+            if need_at(0, slot) {
+                live[slot] = true;
                 positions.push(pos);
                 drive_slots.push(slot);
             }
         }
-        let mut live: Vec<bool> = (0..nvars).map(|s| present[s] && need_from[0][s]).collect();
+        let mut column_of = |pos: usize| match positions.iter().position(|&p| p == pos) {
+            Some(i) => i,
+            None => {
+                positions.push(pos);
+                positions.len() - 1
+            }
+        };
+        let drive_eqs: Vec<(usize, usize)> =
+            drive_eqs_pos.iter().map(|&(a, b)| (column_of(a), column_of(b))).collect();
         let mut ops: Vec<VecOp<'p>> = Vec::with_capacity(nops);
         for (k, draft) in drafts.into_iter().enumerate() {
             let Draft { mut op, binds_all, .. } = draft;
-            let keep_list: Vec<usize> =
-                (0..nvars).filter(|&s| live[s] && need_from[k + 1][s]).collect();
-            for &(_, slot) in &binds_all {
-                present[slot] = true;
-            }
-            let bind_list: Vec<(usize, usize)> = binds_all
-                .iter()
-                .copied()
-                .filter(|&(_, slot)| need_from[k + 1][slot])
-                .collect();
-            match &mut op {
-                VecOp::Probe { binds, keep, .. } | VecOp::Hash { binds, keep, .. } => {
-                    *binds = bind_list.clone();
-                    *keep = keep_list.clone();
-                }
-                VecOp::Count { keep, .. } | VecOp::Filter { keep, .. } => {
-                    *keep = keep_list.clone();
-                }
-            }
             if any_exists {
                 if let VecOp::Filter { specs, .. } = &mut op {
                     for s in specs.iter_mut() {
                         if let FilterSpec::Generic { col_slots, .. } = s {
-                            if col_slots.is_empty() {
-                                // Entering columns of this op: everything
-                                // live before the filter runs.
-                                *col_slots = (0..nvars)
-                                    .filter(|&s| live[s] && need_from[k][s])
-                                    .collect();
-                            }
+                            // Entering columns of this op: everything live
+                            // before the filter runs.
+                            *col_slots =
+                                (0..nvars).filter(|&s| live[s] && need_at(k, s)).collect();
                         }
                     }
                 }
             }
-            live = vec![false; nvars];
+            let keep_list: Vec<usize> =
+                (0..nvars).filter(|&s| live[s] && need_at(k + 1, s)).collect();
+            let bind_list: Vec<(usize, usize)> =
+                binds_all.into_iter().filter(|&(_, slot)| need_at(k + 1, slot)).collect();
+            live.fill(false);
             for &s in &keep_list {
                 live[s] = true;
             }
             for &(_, s) in &bind_list {
                 live[s] = true;
+            }
+            match &mut op {
+                VecOp::Probe { binds, keep, .. } | VecOp::Hash { binds, keep, .. } => {
+                    *binds = bind_list;
+                    *keep = keep_list;
+                }
+                VecOp::Count { keep, .. } | VecOp::Filter { keep, .. } => *keep = keep_list,
             }
             ops.push(op);
         }
@@ -452,73 +467,51 @@ impl<'p> VecPipeline<'p> {
 
         let mut template = vec![None; nvars];
         for (slot, v) in plan.base.iter().enumerate() {
-            if final_need[slot] {
+            if need_at(nops, slot) {
                 template[slot] = *v;
             }
         }
 
-        Some(VecPipeline {
+        VecPipeline {
             drive: plan.drive,
             prefer: plan.prefer,
             base: plan.base.clone(),
             positions,
             drive_slots,
+            drive_eqs,
             ops,
+            tail,
             final_cols,
             template,
-        })
-    }
-
-    /// Runs the whole pipeline sequentially (the `threads == 1` entry
-    /// point): every morsel in order, rows appended to `out`. Profile
-    /// tallies mirror the streaming pipeline's exactly.
-    pub(super) fn run_sequential(&self, ctx: &EvalCtx, out: &mut Vec<Row>) {
-        let drive_key = self.drive as *const Step as usize;
-        if let Some(p) = &ctx.profile {
-            // The streaming pipeline wraps every step eagerly, creating a
-            // (possibly zero) tally even for steps never reached; its
-            // driving step consumes exactly one seed row.
-            p.add(drive_key, 0, 1, 0);
-            for op in &self.ops {
-                if let Some(key) = op.step_key() {
-                    p.add(key, 0, 0, 0);
-                }
-            }
-        }
-        let Some(pattern) = probe_pattern(&self.base, &self.drive.triple) else {
-            return;
-        };
-        let morsels = ctx.view.plan_morsels(&pattern, ctx.morsel_size);
-        let row_bytes = ctx.vars.len() as u64 * SLOT_BYTES + 32;
-        let mut st = VecState::new(self);
-        let mut claimed = 0u64;
-        for morsel in &morsels {
-            if ctx.is_exhausted() {
-                break;
-            }
-            claimed += 1;
-            let before = out.len();
-            self.run_morsel(ctx, &pattern, morsel, &mut st, out);
-            let produced = (out.len() - before) as u64;
-            if produced > 0 {
-                let _ = ctx.charge_mem(produced * row_bytes);
-            }
-        }
-        if telemetry::enabled() {
-            crate::metrics::morsels_claimed().add(claimed);
         }
     }
 
-    /// Runs one morsel through the pipeline, materialising finished rows
-    /// into `out` (template + live columns only).
+    /// Records the zero tallies the streaming pipeline creates eagerly:
+    /// one for every step (even one no row reaches), and the one seed
+    /// row the driving step consumes. Runs once per profiled execution.
+    pub(super) fn register_tallies(&self, ctx: &EvalCtx) {
+        let Some(p) = &ctx.profile else { return };
+        p.add(self.drive as *const Step as usize, 0, 1, 0);
+        for op in &self.ops {
+            if let Some(key) = op.step_key() {
+                p.add(key, 0, 0, 0);
+            }
+        }
+        // The row operators tally themselves; over no rows that is the
+        // zero tally.
+        drop(apply_stages(ctx, &self.tail, Box::new(std::iter::empty())));
+    }
+
+    /// Runs one morsel through the pipeline and returns its finished rows
+    /// (template + live columns, then the row tail).
     pub(super) fn run_morsel(
         &self,
         ctx: &EvalCtx,
         pattern: &QuadPattern,
         morsel: &Morsel,
         st: &mut VecState,
-        out: &mut Vec<Row>,
-    ) {
+    ) -> Vec<Row> {
+        let mut out = Vec::new();
         self.for_each_batch(ctx, pattern, morsel, st, &mut |batch: &Batch| {
             out.reserve(batch.len);
             for i in 0..batch.len {
@@ -529,6 +522,10 @@ impl<'p> VecPipeline<'p> {
                 out.push(row);
             }
         });
+        if self.tail.is_empty() || out.is_empty() || ctx.is_exhausted() {
+            return out;
+        }
+        apply_stages(ctx, &self.tail, Box::new(out.into_iter())).collect()
     }
 
     /// Runs one morsel and feeds finished batches to `sink`. Handles the
@@ -551,8 +548,20 @@ impl<'p> VecPipeline<'p> {
 
         // 1. Drive scan → columns.
         let t0 = profile.as_ref().map(|_| Instant::now());
-        let mut dcols: Vec<Vec<u64>> = vec![Vec::new(); self.positions.len()];
-        let n = ctx.view.scan_morsel_columns(pattern, morsel, self.prefer, &self.positions, &mut dcols);
+        // A base morsel's key span bounds its match count.
+        let span = morsel.hi - morsel.lo;
+        let mut dcols: Vec<Vec<u64>> =
+            self.positions.iter().map(|_| Vec::with_capacity(span)).collect();
+        let mut n =
+            ctx.view.scan_morsel_columns(pattern, morsel, self.prefer, &self.positions, &mut dcols);
+        let differ = |i: usize| self.drive_eqs.iter().any(|&(a, b)| dcols[a][i] != dcols[b][i]);
+        if (0..n).any(differ) {
+            let sel: Vec<usize> = (0..n).filter(|&i| !differ(i)).collect();
+            for col in &mut dcols {
+                *col = sel.iter().map(|&i| col[i]).collect();
+            }
+            n = sel.len();
+        }
         if let (Some(p), Some(t0)) = (&profile, t0) {
             p.add(
                 self.drive as *const Step as usize,
@@ -584,7 +593,11 @@ impl<'p> VecPipeline<'p> {
             let end = (start + bsz).min(n);
             let mut batch = Batch { len: end - start, cols: vec![None; nvars] };
             for (ci, &slot) in self.drive_slots.iter().enumerate() {
-                batch.cols[slot] = Some(dcols[ci][start..end].to_vec());
+                batch.cols[slot] = Some(if end - start == n {
+                    std::mem::take(&mut dcols[ci])
+                } else {
+                    dcols[ci][start..end].to_vec()
+                });
             }
             let mut cur = Some(batch);
             for (k, op) in self.ops.iter().enumerate() {
@@ -632,7 +645,7 @@ impl<'p> VecPipeline<'p> {
             VecOp::Count { spec, keep, .. } => {
                 let row_bytes = keep.len() as u64 * 8;
                 let mut charged_rows = 0usize;
-                let mut src: Vec<u32> = Vec::new();
+                let mut src: Vec<u32> = Vec::with_capacity(batch.len);
                 for i in 0..batch.len {
                     let pat = spec.pattern(&batch, i);
                     if memo.pattern != Some(pat) {
@@ -651,11 +664,12 @@ impl<'p> VecPipeline<'p> {
                 }
                 Some(gather_batch(&batch, &src, keep, &[], Vec::new(), nvars))
             }
-            VecOp::Probe { spec, binds, keep, .. } => {
+            VecOp::Probe { spec, eqs, binds, keep, .. } => {
                 let row_bytes = (keep.len() + binds.len()) as u64 * 8;
                 let mut charged_rows = 0usize;
-                let mut src: Vec<u32> = Vec::new();
-                let mut fresh: Vec<Vec<u64>> = vec![Vec::new(); binds.len()];
+                let mut src: Vec<u32> = Vec::with_capacity(batch.len);
+                let mut fresh: Vec<Vec<u64>> =
+                    binds.iter().map(|_| Vec::with_capacity(batch.len)).collect();
                 for i in 0..batch.len {
                     let pat = spec.pattern(&batch, i);
                     if memo.pattern != Some(pat) {
@@ -663,7 +677,10 @@ impl<'p> VecPipeline<'p> {
                             v.clear();
                         }
                         memo.count = 0;
-                        for quad in ctx.view.probe(pat) {
+                        for quad in ctx.view.scan(pat) {
+                            if !quad_eqs_hold(&quad, eqs) {
+                                continue;
+                            }
                             for (bi, &(pos, _)) in binds.iter().enumerate() {
                                 memo.vals[bi].push(quad[pos]);
                             }
@@ -686,13 +703,14 @@ impl<'p> VecPipeline<'p> {
                 }
                 Some(gather_batch(&batch, &src, keep, binds, fresh, nvars))
             }
-            VecOp::Hash { cell, key_srcs, checks, binds, keep, step } => {
+            VecOp::Hash { cell, key_srcs, checks, eqs, binds, keep, step } => {
                 let table =
                     cell.get_or_init(|| build_table(ctx, step, hash_join_slots(step)));
                 let row_bytes = (keep.len() + binds.len()) as u64 * 8;
                 let mut charged_rows = 0usize;
-                let mut src: Vec<u32> = Vec::new();
-                let mut fresh: Vec<Vec<u64>> = vec![Vec::new(); binds.len()];
+                let mut src: Vec<u32> = Vec::with_capacity(batch.len);
+                let mut fresh: Vec<Vec<u64>> =
+                    binds.iter().map(|_| Vec::with_capacity(batch.len)).collect();
                 let mut key = vec![0u64; key_srcs.len()];
                 for i in 0..batch.len {
                     for (dst, ks) in key.iter_mut().zip(key_srcs) {
@@ -700,7 +718,9 @@ impl<'p> VecPipeline<'p> {
                     }
                     let Some(quads) = table.get(key.as_slice()) else { continue };
                     for quad in quads {
-                        if checks.iter().any(|(pos, vs)| quad[*pos] != vs.value(&batch, i)) {
+                        if checks.iter().any(|(pos, vs)| quad[*pos] != vs.value(&batch, i))
+                            || !quad_eqs_hold(quad, eqs)
+                        {
                             continue;
                         }
                         src.push(i as u32);
@@ -789,6 +809,12 @@ impl<'p> VecPipeline<'p> {
         st: &mut VecState,
         sink: &mut RunSink,
     ) {
+        if !self.tail.is_empty() {
+            for row in self.run_morsel(ctx, pattern, morsel, st) {
+                sink.push(ctx, sel, fast, &row);
+            }
+            return;
+        }
         // Static per-row increments: a counted slot that is a live column
         // is always bound; one bound from the base row always counts; an
         // unbound one never does.
@@ -901,6 +927,11 @@ fn gather_batch(
     Batch { len: src.len(), cols }
 }
 
+/// Whether a quad holds equal IDs at every position pair of `eqs`.
+fn quad_eqs_hold(quad: &quadstore::EncodedQuad, eqs: &[(usize, usize)]) -> bool {
+    eqs.iter().all(|&(a, b)| quad[a] == quad[b])
+}
+
 impl ProbeSpec {
     /// The per-row probe pattern (mirrors [`probe_pattern`] over a row
     /// whose bound slots come from columns and base constants).
@@ -931,48 +962,39 @@ impl ValSrc {
     }
 }
 
-/// The free variable positions a triple binds, updating the bind states.
-/// `None` when the triple repeats an unbound variable (the row pipeline's
-/// per-quad consistency checks have no columnar equivalent here) or pins
-/// a constant absent from the store (per-row probes would all be empty;
-/// rare enough to leave to the row pipeline).
-fn triple_binds(triple: &CTriple, bind: &mut [BindState]) -> Option<Vec<(usize, usize)>> {
-    let mut out: Vec<(usize, usize)> = Vec::new();
-    let mut visit = |pos: usize, cpos: &CPos| -> Option<()> {
-        match cpos {
-            CPos::Var(slot) => {
-                if bind[*slot] == BindState::Unbound {
-                    if out.iter().any(|&(_, s)| s == *slot) {
-                        return None;
-                    }
-                    out.push((pos, *slot));
-                }
-                Some(())
-            }
-            CPos::Const(_, Some(_)) => Some(()),
-            CPos::Const(_, None) => None,
+/// A triple's `(quad position, slot)` binds and its `(first position,
+/// later position)` equality checks.
+type TripleBinds = (Vec<(usize, usize)>, Vec<(usize, usize)>);
+
+/// The free variable positions a triple binds, updating the bind states,
+/// plus the position pairs that must hold equal IDs: an unbound variable
+/// repeated inside the triple binds at its first position and is checked
+/// at each later one (the row pipeline's `extend_row` consistency check).
+/// Absent constants need no handling here: [`probe_spec`] and
+/// [`probe_pattern`] already make such a triple match nothing.
+fn triple_binds(triple: &CTriple, bind: &mut [BindState]) -> TripleBinds {
+    let mut binds: Vec<(usize, usize)> = Vec::new();
+    let mut eqs: Vec<(usize, usize)> = Vec::new();
+    let vars = [
+        (quadstore::ids::S, triple.s.slot()),
+        (quadstore::ids::P, triple.p.slot()),
+        (quadstore::ids::O, triple.o.slot()),
+        (quadstore::ids::G, if let CGraph::Var(slot) = triple.g { Some(slot) } else { None }),
+    ];
+    for (pos, slot) in vars {
+        let Some(slot) = slot else { continue };
+        if bind[slot] != BindState::Unbound {
+            continue;
         }
-    };
-    visit(quadstore::ids::S, &triple.s)?;
-    visit(quadstore::ids::P, &triple.p)?;
-    visit(quadstore::ids::O, &triple.o)?;
-    match &triple.g {
-        CGraph::Any | CGraph::Default => {}
-        CGraph::Const(_, Some(_)) => {}
-        CGraph::Const(_, None) => return None,
-        CGraph::Var(slot) => {
-            if bind[*slot] == BindState::Unbound {
-                if out.iter().any(|&(_, s)| s == *slot) {
-                    return None;
-                }
-                out.push((quadstore::ids::G, *slot));
-            }
+        match binds.iter().find(|&&(_, s)| s == slot) {
+            Some(&(first, _)) => eqs.push((first, pos)),
+            None => binds.push((pos, slot)),
         }
     }
-    for &(_, slot) in &out {
+    for &(_, slot) in &binds {
         bind[slot] = BindState::Col;
     }
-    Some(out)
+    (binds, eqs)
 }
 
 /// Builds a probe spec from a triple and the current bind states,
@@ -1114,27 +1136,75 @@ fn hash_join_slots(step: &Step) -> &[usize] {
     }
 }
 
-/// The sequential vectorized producer for a non-grouped SELECT: splits
-/// root UNIONs like the parallel executor, compiles every branch (all or
-/// nothing, so no charges land before the decision to use the vectorized
-/// path), and runs the branches in sequential order. `None` falls back to
-/// the streaming row pipeline.
-pub(super) fn vec_produce(ctx: &EvalCtx, sel: &CSelect) -> Option<Vec<Row>> {
-    if !ctx.vectorize {
-        return None;
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::parser::parse_query;
+    use quadstore::Store;
+    use rdf_model::{GraphName, Quad, Term};
+
+    /// The NG encoding of a follows graph: edge `e{i}` lives in named
+    /// graph `e{i}`, which also holds the edge's key/value triples. A few
+    /// edges carry the tag the queries select on.
+    fn ng_store() -> Store {
+        let store = Store::new();
+        store.create_model("m").unwrap();
+        let iri = |s: String| Term::iri(format!("http://pg/{s}"));
+        let mut quads = Vec::new();
+        for i in 0..200u32 {
+            let g = GraphName::iri(format!("http://pg/e{i}"));
+            let q = |s: Term, p: &str, o: Term| Quad::new(s, iri(p.into()), o, g.clone()).unwrap();
+            quads.push(q(iri(format!("v{}", i % 40)), "r/follows", iri(format!("v{}", (i * 7 + 3) % 40))));
+            let tag = if i % 25 == 0 { "#t".to_string() } else { format!("#x{}", i % 7) };
+            quads.push(q(iri(format!("e{i}")), "k/hasTag", Term::string(tag)));
+            quads.push(q(iri(format!("e{i}")), "k/weight", Term::int(i as i32)));
+        }
+        store.bulk_load("m", &quads).unwrap();
+        store
     }
-    let mut plans: Vec<DrivePlan<'_>> = Vec::new();
-    if !collect_plans(ctx, &sel.root, &[], &mut plans) {
-        return None;
+
+    /// Table 10's edge queries in the NG form (as `pgrdf::QuerySet`
+    /// writes them): each starts from `?g1 k:hasTag "#t" GRAPH ?g1`,
+    /// where the edge IRI is both subject and graph.
+    const NG_EDGE_QUERIES: [(&str, &str); 4] = [
+        ("EQ5a", "SELECT ?n2 WHERE { GRAPH ?g1 { ?n r:follows ?n2 . ?g1 k:hasTag \"#t\" } }"),
+        (
+            "EQ6a",
+            "SELECT ?n3 WHERE { GRAPH ?g1 { ?n r:follows ?n2 . ?g1 k:hasTag \"#t\" } \
+             ?n2 r:follows ?n3 }",
+        ),
+        (
+            "EQ7a",
+            "SELECT ?n4 WHERE { GRAPH ?g1 { ?n r:follows ?n2 . ?g1 k:hasTag \"#t\" } \
+             GRAPH ?g2 { ?n2 r:follows ?n3 . ?g2 k:hasTag \"#t\" } \
+             GRAPH ?g3 { ?n3 r:follows ?n4 . ?g3 k:hasTag \"#t\" } }",
+        ),
+        (
+            "EQ8a",
+            "SELECT ?n2 ?k ?v WHERE { GRAPH ?g1 { ?n r:follows ?n2 . \
+             ?g1 k:hasTag \"#t\" . ?g1 ?k ?v FILTER (isLiteral(?v)) } }",
+        ),
+    ];
+
+    /// Every NG edge query must be drivable and compile to columnar
+    /// operators alone, with no stage left to the row tail.
+    #[test]
+    fn ng_edge_queries_compile_to_columnar_pipelines() {
+        let store = ng_store();
+        let view = store.dataset("m").unwrap();
+        for (label, body) in NG_EDGE_QUERIES {
+            let text = format!("PREFIX r: <http://pg/r/> PREFIX k: <http://pg/k/> {body}");
+            let compiled = crate::plan::compile(&view, &parse_query(&text).unwrap()).unwrap();
+            let CForm::Select(sel) = &compiled.form else { panic!("{label}: expected select") };
+            let ctx =
+                EvalCtx::with_exists(view.clone(), compiled.vars.clone(), compiled.exists.clone());
+            let plan =
+                drive_plan(&ctx, &sel.root).unwrap_or_else(|| panic!("{label}: not drivable"));
+            let pipe = VecPipeline::compile(&ctx, &plan, &needed_slots(&ctx, sel));
+            assert!(pipe.tail.is_empty(), "{label}: stages fell back to the row tail");
+            assert!(!pipe.ops.is_empty(), "{label}: no columnar operators");
+            // The tag step drives, so the repeated ?g1 is checked in the scan.
+            assert_eq!(pipe.drive_eqs.len(), 1, "{label}: drive scan lacks the ?g1 check");
+        }
     }
-    let needed = needed_slots(ctx, sel);
-    let pipes: Vec<VecPipeline<'_>> = plans
-        .iter()
-        .map(|p| VecPipeline::compile(ctx, p, &needed))
-        .collect::<Option<_>>()?;
-    let mut out = Vec::new();
-    for pipe in &pipes {
-        pipe.run_sequential(ctx, &mut out);
-    }
-    Some(out)
 }

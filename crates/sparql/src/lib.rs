@@ -94,8 +94,9 @@ pub fn query_with_limits(
 }
 
 /// [`query`] with explicit execution options (worker threads, morsel
-/// size, resource limits). `ExecOptions::threads(1)` reproduces the
-/// sequential streaming path bit-for-bit.
+/// size, resource limits). Results are identical at every thread count;
+/// `ExecOptions::threads(1).with_vectorize(false)` runs the streaming
+/// row pipeline, the reference for that guarantee.
 pub fn query_with_options(
     store: &Store,
     dataset: &str,

@@ -14,7 +14,14 @@ use std::collections::HashSet;
 use quadstore::{DatasetView, GraphConstraint, QuadPattern};
 use rdf_model::TermId;
 
+use crate::exec::IdHashState;
 use crate::plan::CPath;
+
+/// A set of node IDs with a fixed hasher: its iteration order depends
+/// only on the inserts, so a path yields its nodes in the same order on
+/// every call, and results stay identical across executors and thread
+/// counts.
+type NodeSet = HashSet<u64, IdHashState>;
 
 /// Resource hook threaded through closure-path search. Each newly visited
 /// search node reports here; returning `false` stops the expansion early
@@ -118,7 +125,7 @@ pub fn forward_with(
         },
         CPath::Inverse(inner) => backward_with(view, inner, graph, start, budget),
         CPath::Sequence(a, b) => {
-            let mut out = HashSet::new();
+            let mut out = NodeSet::default();
             for mid in forward_with(view, a, graph, start, budget) {
                 for end in forward_with(view, b, graph, mid, budget) {
                     if out.insert(end) && !budget.path_nodes(1) {
@@ -129,13 +136,13 @@ pub fn forward_with(
             out.into_iter().collect()
         }
         CPath::Alternative(a, b) => {
-            let mut out: HashSet<u64> =
+            let mut out: NodeSet =
                 forward_with(view, a, graph, start, budget).into_iter().collect();
             out.extend(forward_with(view, b, graph, start, budget));
             out.into_iter().collect()
         }
         CPath::ZeroOrOne(inner) => {
-            let mut out: HashSet<u64> =
+            let mut out: NodeSet =
                 forward_with(view, inner, graph, start, budget).into_iter().collect();
             out.insert(start);
             out.into_iter().collect()
@@ -174,7 +181,7 @@ pub fn backward_with(
         },
         CPath::Inverse(inner) => forward_with(view, inner, graph, end, budget),
         CPath::Sequence(a, b) => {
-            let mut out = HashSet::new();
+            let mut out = NodeSet::default();
             for mid in backward_with(view, b, graph, end, budget) {
                 for s in backward_with(view, a, graph, mid, budget) {
                     if out.insert(s) && !budget.path_nodes(1) {
@@ -185,13 +192,13 @@ pub fn backward_with(
             out.into_iter().collect()
         }
         CPath::Alternative(a, b) => {
-            let mut out: HashSet<u64> =
+            let mut out: NodeSet =
                 backward_with(view, a, graph, end, budget).into_iter().collect();
             out.extend(backward_with(view, b, graph, end, budget));
             out.into_iter().collect()
         }
         CPath::ZeroOrOne(inner) => {
-            let mut out: HashSet<u64> =
+            let mut out: NodeSet =
                 backward_with(view, inner, graph, end, budget).into_iter().collect();
             out.insert(end);
             out.into_iter().collect()
@@ -220,9 +227,9 @@ fn bfs(
     direction: Direction,
     budget: &dyn PathBudget,
 ) -> Vec<u64> {
-    let mut visited: HashSet<u64> = HashSet::new();
+    let mut visited = NodeSet::default();
     let mut frontier: Vec<u64> = vec![start];
-    let mut result: HashSet<u64> = HashSet::new();
+    let mut result = NodeSet::default();
     if include_start {
         result.insert(start);
     }
@@ -301,7 +308,7 @@ fn candidate_starts(
 ) -> Vec<u64> {
     let mut preds = Vec::new();
     collect_predicates(path, &mut preds);
-    let mut nodes = HashSet::new();
+    let mut nodes = NodeSet::default();
     for pid in preds {
         let pattern = QuadPattern { s: None, p: Some(TermId(pid)), o: None, g: graph };
         for quad in view.scan(pattern) {

@@ -7,6 +7,11 @@ cd "$(dirname "$0")/.."
 cargo build --release
 cargo test -q
 
+# The pinned benchmark package builds against the engine's crates by
+# path: its own tests (every workload at a tiny scale) catch an engine
+# API change that would break the benchmark.
+cargo test --release -q --offline --manifest-path perfbench/Cargo.toml
+
 # The parallel executor must stay bit-identical to the sequential
 # pipeline under optimized codegen, where data races and merge-order
 # bugs actually surface.

@@ -24,8 +24,8 @@ fn run_with(fixture: &Fixture, eq: Eq, model: PgRdfModel, options: ExecOptions) 
 
 /// The deterministic sweep from the issue: threads {1,2,4,8} x morsel
 /// sizes over the five query families (node, edge, aggregate, traversal,
-/// triangle), both NG and SP. threads=1 is the legacy streaming path and
-/// serves as the baseline.
+/// triangle), both NG and SP. threads=1 runs the same pipeline on the
+/// calling thread and serves as the baseline.
 #[test]
 fn parallel_results_match_sequential_exactly() {
     let fixture = Fixture::at_scale(0.005);
